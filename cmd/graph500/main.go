@@ -894,7 +894,7 @@ func runAlgorithm(list *edgelist.List, p graph500.Params, prOpts vp.PageRankOpti
 	if err != nil {
 		return err
 	}
-	eng, err := sys.NewEngine(prog, vp.Config{Config: p.BFS})
+	eng, err := sys.NewEngine(prog, p.BFS)
 	if err != nil {
 		return err
 	}
@@ -909,13 +909,13 @@ func runAlgorithm(list *edgelist.List, p graph500.Params, prOpts vp.PageRankOpti
 	fmt.Printf("algorithm:            %s\n", p.Scenario.Algorithm)
 	fmt.Printf("mode:                 %s  alpha=%g beta=%g\n", p.BFS.Mode, p.BFS.Alpha, p.BFS.Beta)
 	fmt.Printf("iterations:           %d (converged: %v, %d direction switches)\n",
-		res.Iterations, res.Converged, res.Switches)
+		len(res.Levels), res.Converged, res.Switches)
 	fmt.Printf("examined edges:       %d push, %d pull (%d from NVM)\n",
-		res.ExaminedPush, res.ExaminedPull, res.ExaminedNVM)
+		res.ExaminedTD, res.ExaminedBU, res.ExaminedNVM)
 	fmt.Printf("vtime:                %v\n", res.Time.ToTime())
 	if sec := res.Time.Seconds(); sec > 0 {
 		fmt.Printf("edges/s:              %s\n",
-			stats.FormatTEPS(float64(res.ExaminedPush+res.ExaminedPull)/sec))
+			stats.FormatTEPS(float64(res.ExaminedTD+res.ExaminedBU)/sec))
 	}
 	fmt.Printf("state bytes:          %s (packed snapshot)\n", stats.FormatBytes(vp.StateBytes(prog)))
 	switch pg := prog.(type) {

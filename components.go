@@ -32,9 +32,9 @@ type ComponentStats struct {
 // and Graph500-style TEPS figures only make sense for roots inside a
 // substantial component — use LargestRoot.
 //
-// The labels come from the vertex-program framework's min-label
-// propagation (vp.Components) over a DRAM-built system — the same engine
-// that runs components through the NVM storage stack — with the
+// The labels come from min-label propagation (vp.Components) on the hybrid
+// engine over a DRAM-built system — the same engine that runs BFS and runs
+// components through the NVM storage stack — with the
 // union-find pass kept as the test oracle and the fallback when the
 // framework cannot build the graph.
 func (e *EdgeList) Components() ComponentStats {
@@ -57,7 +57,7 @@ func propagateLabels(list *edgelist.List) ([]int64, error) {
 	}
 	defer sys.Close()
 	prog := vp.NewComponents()
-	eng, err := sys.NewEngine(prog, vp.Config{Config: bfs.Config{Topology: sys.Part.Topology}})
+	eng, err := sys.NewEngine(prog, bfs.Config{Topology: sys.Part.Topology})
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 // Package bfs implements the NUMA-optimized hybrid (direction-optimizing)
 // breadth-first search of the paper: NETAL's top-down and bottom-up
 // kernels, the alpha/beta direction-switching rule of Section III-C, and
-// the virtual-time cost accounting that emulates the 48-core testbed.
+// the virtual-time cost accounting that emulates the 48-core testbed. The
+// kernels form one Engine that runs any vertex Program (see program.go);
+// Runner is the BFS program bound to it, and internal/vp holds the others.
 //
 // The kernels are agnostic to where the graphs live: they traverse through
 // the ForwardAccess/BackwardAccess interfaces, whose DRAM implementations

@@ -7,18 +7,13 @@ import (
 	"semibfs/internal/vtime"
 )
 
-// wordRangeOfNode returns the half-open range of 64-bit bitmap word
-// indices whose *base bit* falls inside node k's vertex range. A word
-// straddling a node boundary is owned by the node of its base bit; the
-// owning worker delegates the spill-over vertices to the right node's CSR
-// (the scanners accept any node index), so every vertex is examined by
-// exactly one worker and all next/visited word writes stay word-exclusive.
-func (r *Runner) wordRangeOfNode(k int) (lo, hi int) {
-	return wordRangeOf(r.part, k)
-}
-
-// wordRangeOf is wordRangeOfNode for any partition; BatchRunner uses the
-// same word-block ownership so batched bottom-up writes stay word-exclusive.
+// wordRangeOf returns the half-open range of 64-bit bitmap word indices
+// whose *base bit* falls inside node k's vertex range. A word straddling a
+// node boundary is owned by the node of its base bit; the owning worker
+// delegates the spill-over vertices to the right node's CSR (the scanners
+// accept any node index), so every vertex is examined by exactly one
+// worker and all next/program-state word writes stay word-exclusive. The
+// Engine's and BatchRunner's bottom-up kernels share this ownership.
 func wordRangeOf(part *numa.Partition, k int) (lo, hi int) {
 	sLo, sHi := part.Range(k)
 	lo = (sLo + 63) / 64
@@ -29,50 +24,40 @@ func wordRangeOf(part *numa.Partition, k int) (lo, hi int) {
 	return lo, hi
 }
 
-// runBottomUpLevel expands one level in the bottom-up direction: every
-// unvisited vertex scans its neighbor list (highest-degree first when the
-// backward graph was built with the NETAL ordering) and claims the first
-// neighbor found in the frontier as its parent, terminating the scan
-// early (Section III-B).
-func (r *Runner) runBottomUpLevel() error {
-	cm := &r.cfg.Cost
-	n := int(r.n)
-	return r.parallel(func(w int) error {
-		k := r.nodeOfWorker(w)
-		j := w % r.cpn
-		clock := r.clocks[w]
-		scanner := r.scanners[w]
-		acc := &r.acc[w]
-		frontier := r.frontBM[k]
-		wordLo, wordHi := r.wordRangeOfNode(k)
-		edgeCost := cm.EdgeCompute + cm.BitmapProbe
+// runBottomUpLevel expands one level in the bottom-up (pull) direction:
+// every candidate vertex the program names scans its neighbor list
+// (highest-degree first when the backward graph was built with the NETAL
+// ordering) through the program's probe until the probe terminates the
+// scan early — for BFS, at the first neighbor found in the frontier, which
+// becomes the parent (Section III-B) — and EndPull decides the claim of
+// every candidate the probe left pending.
+func (e *Engine) runBottomUpLevel() error {
+	cm := &e.cfg.Cost
+	n := int(e.n)
+	return e.parallel(func(w int) error {
+		k := e.nodeOfWorker(w)
+		j := w % e.cpn
+		clock := e.clocks[w]
+		scanner := e.scanners[w]
+		acc := &e.acc[w]
+		prog := e.prog
 		// One probe closure per worker per level: allocating it inside
 		// the vertex loop would cost one heap allocation per scanned
 		// vertex (real GC pressure at scale).
-		parent := int64(-1)
-		probe := func(nb int64) bool {
-			if frontier.Test(int(nb)) {
-				parent = nb
-				return false
-			}
-			return true
-		}
-		for wi := wordLo + j; wi < wordHi; wi += r.cpn {
+		probe, pending := prog.PullProbe(w, e.frontBM[k])
+		wordLo, wordHi := wordRangeOf(e.part, k)
+		edgeCost := cm.EdgeCompute + cm.BitmapProbe
+		for wi := wordLo + j; wi < wordHi; wi += e.cpn {
 			var t vtime.Duration
-			t += cm.Stream(8) // visited word load
-			word := r.visited.WordAt(wi)
-			unvisited := ^word
+			t += cm.Stream(8) // candidate word load
+			cand := prog.PullCandidates(wi)
 			base := wi * 64
 			if base+64 > n {
-				unvisited &= (1 << uint(n-base)) - 1
+				cand &= (1 << uint(n-base)) - 1
 			}
-			if unvisited == 0 {
-				clock.Advance(t)
-				continue
-			}
-			for unvisited != 0 {
-				bit := bits.TrailingZeros64(unvisited)
-				unvisited &= unvisited - 1
+			for cand != 0 {
+				bit := bits.TrailingZeros64(cand)
+				cand &= cand - 1
 				v := int64(base + bit)
 				t += cm.VertexOverhead
 				clock.Advance(t)
@@ -80,10 +65,9 @@ func (r *Runner) runBottomUpLevel() error {
 				// Delegate straddling vertices to their owner
 				// node's CSR.
 				vk := k
-				if v < int64(r.part.Starts[k]) || v >= int64(r.part.Starts[k+1]) {
-					vk = r.part.NodeOf(int(v))
+				if v < int64(e.part.Starts[k]) || v >= int64(e.part.Starts[k+1]) {
+					vk = e.part.NodeOf(int(v))
 				}
-				parent = -1
 				dram, nvmEdges, err := scanner.Scan(vk, v, probe)
 				if err != nil {
 					return err
@@ -93,10 +77,8 @@ func (r *Runner) runBottomUpLevel() error {
 				t += cm.Stream(int(dram) * 8)
 				acc.examinedDRAM += dram
 				acc.examinedNVM += nvmEdges
-				if parent >= 0 {
-					r.tree[v] = parent
-					r.visited.Set(int(v))
-					r.nextBM.Set(int(v))
+				if (pending == nil || *pending) && prog.EndPull(w, v) {
+					e.nextBM.Set(int(v))
 					t += cm.LocalAccess + 2*cm.BitmapProbe
 					acc.claimed++
 				}

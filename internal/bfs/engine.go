@@ -125,19 +125,32 @@ func (l LevelStats) AvgDegree() float64 {
 	return float64(l.FrontierDegree) / float64(l.Frontier)
 }
 
-// Result is one BFS execution's outcome.
+// Result is one engine run's outcome. The per-vertex output of a program
+// other than BFS (labels, ranks) stays with the Program.
 type Result struct {
-	Root    int64
+	Root int64
+	// Visited counts the initial frontier plus every claim: for BFS, the
+	// vertices reached; for a non-monotone program, activations, which
+	// may count a vertex more than once.
 	Visited int64
 	// Tree aliases the Runner's parent array and is valid until the
-	// next Run call; use CloneTree to keep it.
-	Tree        []int64
-	Levels      []LevelStats
-	Time        vtime.Duration
+	// next Run call; use CloneTree to keep it. Nil for Engine.Run.
+	Tree []int64
+	// Levels records per-level activity: push levels are TopDown, pull
+	// levels BottomUp.
+	Levels []LevelStats
+	Time   vtime.Duration
+	// ExaminedTD / ExaminedBU / ExaminedNVM count neighbor IDs examined
+	// by push levels, by pull levels, and from NVM overall.
 	ExaminedTD  int64
 	ExaminedBU  int64
 	ExaminedNVM int64
-	Switches    int
+	// Switches counts direction changes (including degraded rescues).
+	Switches int
+	// Converged reports whether the program's convergence test ended the
+	// run (false when the frontier simply drained, as it always does for
+	// BFS).
+	Converged bool
 	// Resilience summarizes the run's fault handling (zero for a healthy
 	// run over healthy devices). Its counters are views over Layers.
 	Resilience Resilience
@@ -167,35 +180,34 @@ func (r *Result) TDLevels() []LevelStats {
 	return out
 }
 
-// Runner executes BFS repeatedly over one pair of graphs, reusing all BFS
-// status data (tree, bitmaps, queues) across runs — the structures whose
-// sizes Table II reports.
-type Runner struct {
-	fwd  ForwardAccess
-	bwd  BackwardAccess
-	part *numa.Partition
-	cfg  Config
-	n    int64
+// Engine executes vertex programs over one forward/backward graph pair,
+// reusing all traversal state (frontier queue, bitmap replicas, claim
+// bitmap, worker clocks) across runs — with BFS, the structures whose
+// sizes Table II reports. See program.go for the Program contract.
+type Engine struct {
+	fwd      ForwardAccess
+	bwd      BackwardAccess
+	part     *numa.Partition
+	prog     Program
+	monotone bool
+	cfg      Config
+	n        int64
 
 	nWorkers int
 	cpn      int // cores per node
 
-	// BFS status data.
-	tree    []int64
-	visited *bitmap.Atomic
-	// claimBM arbitrates next-queue membership during a top-down level.
-	// The visited bitmap is frozen while a level runs (claims become
-	// visited at gather time), so every frontier parent of an unvisited
-	// vertex competes in a min-CAS on the tree entry — making the parent
-	// tree independent of worker count, queue depth, and I/O completion
-	// order — while claimBM's TestAndSet picks exactly one worker to
-	// enqueue the vertex. Bits are never cleared between levels (a stale
-	// bit always belongs to a by-now-visited vertex); Run resets it.
+	// claimBM arbitrates next-queue membership during a push level: the
+	// program's idempotent PushEdges update makes the claim, Claims'
+	// TestAndSet picks exactly one worker to enqueue the vertex. For a monotone
+	// program a stale bit always belongs to a by-now-settled vertex, so
+	// bits stay set until Run resets them; a non-monotone program's bits
+	// are cleared at gather time so the vertex can re-activate.
 	claimBM *bitmap.Atomic
 	frontBM []*bitmap.Atomic // per-node frontier replicas
 	nextBM  *bitmap.Bitmap
 	frontQ  []int64
 	nextQ   [][]int64 // per-worker output queues
+	claims  []Claims  // per-worker push claim sinks over claimBM
 
 	clocks   []*vtime.Clock
 	cursors  []ForwardCursor
@@ -223,8 +235,9 @@ type workerAcc struct {
 	_pad         [4]int64 // avoid false sharing between workers
 }
 
-// NewRunner prepares a Runner over the given graphs.
-func NewRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition, cfg Config) (*Runner, error) {
+// NewEngine prepares an Engine running prog over the given graphs. It
+// calls prog.Setup once; a Program instance belongs to one Engine.
+func NewEngine(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition, prog Program, cfg Config) (*Engine, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
@@ -233,21 +246,32 @@ func NewRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition, cfg 
 		return nil, fmt.Errorf("bfs: partition topology %+v != config topology %+v",
 			part.Topology, cfg.Topology)
 	}
+	caps := prog.Caps()
+	if caps&(CapPush|CapPull) == 0 {
+		return nil, fmt.Errorf("bfs: program %q implements no kernel direction", prog.Name())
+	}
+	if cfg.Mode == ModeTopDownOnly && caps&CapPush == 0 {
+		return nil, fmt.Errorf("bfs: program %q cannot run top-down-only (no push kernel)", prog.Name())
+	}
+	if cfg.Mode == ModeBottomUpOnly && caps&CapPull == 0 {
+		return nil, fmt.Errorf("bfs: program %q cannot run bottom-up-only (no pull kernel)", prog.Name())
+	}
 	n := int64(part.N)
 	nw := cfg.Topology.TotalCores()
-	r := &Runner{
+	e := &Engine{
 		fwd:      fwd,
 		bwd:      bwd,
 		part:     part,
+		prog:     prog,
+		monotone: prog.Monotone(),
 		cfg:      cfg,
 		n:        n,
 		nWorkers: nw,
 		cpn:      cfg.Topology.CoresPerNode,
-		tree:     make([]int64, n),
-		visited:  bitmap.NewAtomic(int(n)),
 		claimBM:  bitmap.NewAtomic(int(n)),
 		nextBM:   bitmap.New(int(n)),
 		nextQ:    make([][]int64, nw),
+		claims:   make([]Claims, nw),
 		clocks:   make([]*vtime.Clock, nw),
 		cursors:  make([]ForwardCursor, nw),
 		scanners: make([]BackwardScan, nw),
@@ -256,71 +280,45 @@ func NewRunner(fwd ForwardAccess, bwd BackwardAccess, part *numa.Partition, cfg 
 
 		offsScratch: make([]int, nw+1),
 	}
-	r.frontBM = make([]*bitmap.Atomic, cfg.Topology.Nodes)
-	for k := range r.frontBM {
-		r.frontBM[k] = bitmap.NewAtomic(int(n))
+	e.frontBM = make([]*bitmap.Atomic, cfg.Topology.Nodes)
+	for k := range e.frontBM {
+		e.frontBM[k] = bitmap.NewAtomic(int(n))
 	}
 	for w := 0; w < nw; w++ {
-		r.clocks[w] = vtime.NewClock(0)
-		r.cursors[w] = fwd.NewCursor(r.clocks[w])
-		r.scanners[w] = bwd.NewScanner(r.clocks[w])
-		r.nextQ[w] = make([]int64, 0, 1024)
+		e.claims[w].bm = e.claimBM
+		e.clocks[w] = vtime.NewClock(0)
+		e.cursors[w] = fwd.NewCursor(e.clocks[w])
+		e.scanners[w] = bwd.NewScanner(e.clocks[w])
+		e.nextQ[w] = make([]int64, 0, 1024)
 	}
-	return r, nil
+	prog.Setup(n, nw)
+	return e, nil
 }
 
-// StatusBytes returns the DRAM footprint of the BFS status data (tree,
-// visited/frontier/next bitmaps, frontier queues) — the "BFS Status Data"
-// row of Table II.
-func (r *Runner) StatusBytes() int64 {
-	b := int64(len(r.tree)) * 8                  // tree
-	b += (r.n + 7) / 8                           // visited
-	b += (r.n + 7) / 8                           // claim bitmap
-	b += int64(len(r.frontBM)) * ((r.n + 7) / 8) // frontier replicas
-	b += (r.n + 7) / 8                           // next bitmap
-	b += int64(cap(r.frontQ)) * 8                // frontier queue
-	for _, q := range r.nextQ {
+// statusBytes returns the DRAM footprint of the engine-owned traversal
+// state (bitmaps and queues); the program's per-vertex state is extra.
+func (e *Engine) statusBytes() int64 {
+	b := (e.n + 7) / 8                           // claim bitmap
+	b += int64(len(e.frontBM)) * ((e.n + 7) / 8) // frontier replicas
+	b += (e.n + 7) / 8                           // next bitmap
+	b += int64(cap(e.frontQ)) * 8                // frontier queue
+	for _, q := range e.nextQ {
 		b += int64(cap(q)) * 8
 	}
 	return b
 }
 
-// Config returns the runner's effective (defaulted) configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
-// BackwardScanTotals sums the cumulative DRAM/NVM backward-scan edge
-// counts across all workers (zero when the backward access does not track
-// them).
-func (r *Runner) BackwardScanTotals() (dram, nvmEdges int64) {
-	for _, s := range r.scanners {
-		if c, ok := s.(ScanCounters); ok {
-			d, n := c.Counters()
-			dram += d
-			nvmEdges += n
-		}
-	}
-	return dram, nvmEdges
-}
-
 // parallel runs fn(w) for every simulated worker w, multiplexed over the
 // configured number of real goroutines. Errors are collected; the first
 // non-nil one is returned.
-func (r *Runner) parallel(fn func(w int) error) error {
-	return runParallel(r.nWorkers, r.cfg.RealWorkers, fn)
-}
-
-// RunParallel multiplexes nWorkers simulated workers over at most
-// realWorkers goroutines with the deterministic worker->goroutine mapping
-// of runParallel. It exists for the vertex-program engine (internal/vp),
-// which shares the BFS runner's execution model.
-func RunParallel(nWorkers, realWorkers int, fn func(w int) error) error {
-	return runParallel(nWorkers, realWorkers, fn)
+func (e *Engine) parallel(fn func(w int) error) error {
+	return runParallel(e.nWorkers, e.cfg.RealWorkers, fn)
 }
 
 // runParallel multiplexes nWorkers simulated workers over at most
 // realWorkers goroutines, assigning worker w to goroutine w % real so the
 // simulated-worker -> work mapping (and thus every virtual clock) is
-// independent of the real parallelism. Shared by Runner and BatchRunner.
+// independent of the real parallelism. Shared by Engine and BatchRunner.
 func runParallel(nWorkers, realWorkers int, fn func(w int) error) error {
 	real := realWorkers
 	if real > nWorkers {
@@ -358,138 +356,182 @@ func runParallel(nWorkers, realWorkers int, fn func(w int) error) error {
 }
 
 // nodeOfWorker returns the NUMA node simulated worker w runs on.
-func (r *Runner) nodeOfWorker(w int) int { return w / r.cpn }
+func (e *Engine) nodeOfWorker(w int) int { return w / e.cpn }
 
-// decide applies the Section III-C switching rule given the frontier sizes
-// of the previous two levels. A degraded run is pinned: the alpha/beta rule
-// must never steer the traversal back onto a dead device.
-func (r *Runner) decide(cur Direction, prevCount, curCount int64) Direction {
-	if r.pinned {
-		return r.pinnedDir
+// clamp restricts dir to the program's capabilities.
+func (e *Engine) clamp(dir Direction) Direction {
+	caps := e.prog.Caps()
+	if dir == TopDown && caps&CapPush == 0 {
+		return BottomUp
 	}
-	switch r.cfg.Mode {
+	if dir == BottomUp && caps&CapPull == 0 {
+		return TopDown
+	}
+	return dir
+}
+
+// decide picks the next level's direction: degraded pinning first (the
+// alpha/beta rule must never steer the traversal back onto a dead device),
+// then a forced mode, then the program's hint, then the Section III-C
+// switching rule on the frontier sizes of the previous two levels — all
+// clamped to the program's kernels.
+func (e *Engine) decide(cur Direction, level int, prevCount, curCount int64) Direction {
+	if e.pinned {
+		return e.pinnedDir
+	}
+	switch e.cfg.Mode {
 	case ModeTopDownOnly:
 		return TopDown
 	case ModeBottomUpOnly:
 		return BottomUp
 	}
+	switch e.prog.Hint(level, curCount) {
+	case HintPush:
+		return e.clamp(TopDown)
+	case HintPull:
+		return e.clamp(BottomUp)
+	}
 	switch cur {
 	case TopDown:
-		if curCount > prevCount && float64(curCount) > float64(r.n)/r.cfg.Alpha {
-			return BottomUp
+		if curCount > prevCount && float64(curCount) > float64(e.n)/e.cfg.Alpha {
+			return e.clamp(BottomUp)
 		}
 	case BottomUp:
-		if curCount < prevCount && float64(curCount) < float64(r.n)/r.cfg.Beta {
-			return TopDown
+		if curCount < prevCount && float64(curCount) < float64(e.n)/e.cfg.Beta {
+			return e.clamp(TopDown)
 		}
 	}
-	return cur
+	return e.clamp(cur)
 }
 
-// Run executes one BFS from root and returns its result. The returned
-// Tree aliases internal storage; see Result.Tree.
-func (r *Runner) Run(root int64) (*Result, error) {
-	if root < 0 || root >= r.n {
-		return nil, fmt.Errorf("bfs: root %d outside [0,%d)", root, r.n)
+// initialDirection picks level 0's direction: a forced mode wins, then the
+// program's level-0 hint, then top-down (the paper's rule: BFS always
+// starts top-down from the source vertex).
+func (e *Engine) initialDirection(count int64) Direction {
+	switch e.cfg.Mode {
+	case ModeTopDownOnly:
+		return TopDown
+	case ModeBottomUpOnly:
+		return BottomUp
 	}
-	// Reset status data (setup is not charged to BFS time, matching the
-	// Graph500 timing protocol which starts the clock at traversal).
-	for i := range r.tree {
-		r.tree[i] = -1
+	if e.prog.Hint(0, count) == HintPull {
+		return e.clamp(BottomUp)
 	}
-	r.visited.Reset()
-	r.claimBM.Reset()
-	r.nextBM.Reset()
-	for _, bm := range r.frontBM {
+	return e.clamp(TopDown)
+}
+
+// Run executes one program run from root (ignored by unrooted programs)
+// and returns its result. Per-vertex output stays with the Program.
+func (e *Engine) Run(root int64) (*Result, error) {
+	if err := e.prog.Reset(root); err != nil {
+		return nil, err
+	}
+	// Reset traversal state (setup is not charged to the run's time,
+	// matching the Graph500 timing protocol which starts the clock at
+	// traversal).
+	e.claimBM.Reset()
+	e.nextBM.Reset()
+	for _, bm := range e.frontBM {
 		bm.Reset()
 	}
-	r.frontQ = r.frontQ[:0]
-	for w := range r.nextQ {
-		r.nextQ[w] = r.nextQ[w][:0]
+	e.frontQ = e.frontQ[:0]
+	for w := range e.nextQ {
+		e.nextQ[w] = e.nextQ[w][:0]
 	}
-	for _, c := range r.clocks {
+	for _, c := range e.clocks {
 		c.AdvanceTo(0)
 	}
-	r.pinned = false
+	e.pinned = false
 	// Stack-layer counters accumulate across runs; per-run figures are
 	// deltas against this snapshot.
-	layers0 := r.layerTotals()
-	start := r.clocks[0].Now()
+	layers0 := e.layerTotals()
+	start := e.clocks[0].Now()
 
-	r.tree[root] = root
-	r.visited.Set(int(root))
-
-	res := &Result{Root: root, Visited: 1}
-	dir := TopDown
-	if r.cfg.Mode == ModeBottomUpOnly {
-		dir = BottomUp
+	res := &Result{Root: root}
+	e.prog.InitialFrontier(root, func(v int64) { e.frontQ = append(e.frontQ, v) })
+	curCount := int64(len(e.frontQ))
+	res.Visited = curCount
+	if curCount == 0 {
+		e.finish(res, start, layers0)
+		return res, nil
 	}
-	// Level 0 frontier: the root, in the representation dir wants.
-	if dir == TopDown {
-		r.frontQ = append(r.frontQ, root)
-	} else {
-		for _, bm := range r.frontBM {
-			bm.Set(int(root))
+	dir := e.initialDirection(curCount)
+	if dir == BottomUp {
+		if curCount == 1 {
+			// A single source vertex is placed as part of setup, like
+			// the root's tree entry; a dense initial frontier pays its
+			// conversion like any direction switch.
+			for _, bm := range e.frontBM {
+				bm.Set(int(e.frontQ[0]))
+			}
+			e.frontQ = e.frontQ[:0]
+		} else if err := e.convertFrontier(TopDown, BottomUp); err != nil {
+			return nil, err
 		}
 	}
-	prevCount, curCount := int64(0), int64(1)
+	prevCount := int64(0)
 
 	for level := 0; ; level++ {
-		if level > int(r.n) {
-			return nil, fmt.Errorf("bfs: level %d exceeds vertex count; cycle in control logic", level)
+		if level > int(e.n)+64 {
+			// Any frontier program settles within n levels; the slack
+			// covers fixed-point programs on tiny graphs.
+			return nil, fmt.Errorf("bfs: %s: level %d exceeds vertex count without converging",
+				e.prog.Name(), level)
 		}
 		newDir := dir
 		if level > 0 {
-			// The paper's rule: BFS always starts top-down from the
-			// source vertex; switching is evaluated from level 1 on,
-			// comparing the frontier sizes of the last two levels.
-			newDir = r.decide(dir, prevCount, curCount)
+			// Switching is evaluated from level 1 on, comparing the
+			// frontier sizes of the last two levels.
+			newDir = e.decide(dir, level, prevCount, curCount)
 		}
 		if newDir != dir {
-			if err := r.convertFrontier(dir, newDir); err != nil {
+			if err := e.convertFrontier(dir, newDir); err != nil {
 				return nil, err
 			}
 			res.Switches++
 			dir = newDir
 		}
 		runLevel := func() error {
-			for w := range r.acc {
-				r.acc[w] = workerAcc{}
+			for w := range e.acc {
+				e.acc[w] = workerAcc{}
 			}
 			if dir == TopDown {
-				return r.runTopDownLevel()
+				return e.runTopDownLevel()
 			}
-			return r.runBottomUpLevel()
+			return e.runBottomUpLevel()
 		}
-		levelStart := vtime.MaxOf(r.clocks)
+		levelStart := vtime.MaxOf(e.clocks)
 		var seeded int64
 		if err := runLevel(); err != nil {
 			// A level kernel failed — usually a device declared dead
-			// after exhausting retries. If the other direction's graph is
+			// after exhausting retries. If the program implements the
+			// other direction and that direction's graph is
 			// DRAM-resident, rescue the level: keep the claims already
-			// made, convert the frontier, and re-run the remainder of
-			// the level in the surviving direction, pinned for the rest
-			// of the run.
-			to, ok := r.degradeTarget(dir)
+			// made (monotone programs), convert the frontier, and re-run
+			// the remainder of the level in the surviving direction,
+			// pinned for the rest of the run.
+			to, ok := e.degradeTarget(dir)
 			if !ok {
-				return nil, fmt.Errorf("bfs: level %d (%s): %w", level, dir, err)
+				return nil, fmt.Errorf("bfs: %s: level %d (%s): %w", e.prog.Name(), level, dir, err)
 			}
 			cause := err
-			seeded, err = r.enterDegraded(dir, to)
+			seeded, err = e.enterDegraded(dir, to)
 			if err != nil {
-				return nil, fmt.Errorf("bfs: level %d: degrading %s -> %s: %w", level, dir, to, err)
+				return nil, fmt.Errorf("bfs: %s: level %d: degrading %s -> %s: %w",
+					e.prog.Name(), level, dir, to, err)
 			}
 			res.Resilience.Degraded = append(res.Resilience.Degraded, DegradedEvent{
 				Level: level, From: dir, To: to, Cause: cause.Error(),
 			})
-			r.pinned, r.pinnedDir = true, to
+			e.pinned, e.pinnedDir = true, to
 			dir = to
 			res.Switches++
 			if err := runLevel(); err != nil {
-				return nil, fmt.Errorf("bfs: level %d (%s, degraded): %w", level, dir, err)
+				return nil, fmt.Errorf("bfs: %s: level %d (%s, degraded): %w",
+					e.prog.Name(), level, dir, err)
 			}
 		}
-		levelEnd := r.barrier.Sync(r.clocks)
+		levelEnd := e.barrier.Sync(e.clocks)
 
 		ls := LevelStats{
 			Level:     level,
@@ -499,20 +541,20 @@ func (r *Runner) Run(root int64) (*Result, error) {
 			Time:      levelEnd - levelStart,
 		}
 		if dir == TopDown {
-			for w := range r.acc {
-				ls.FrontierDegree += r.acc[w].frontierDeg
+			for w := range e.acc {
+				ls.FrontierDegree += e.acc[w].frontierDeg
 			}
 		} else {
 			ls.FrontierDegree = -1
 		}
 		// seeded counts claims made by a failed kernel before this level
-		// degraded; their tree entries are set but the re-run's
-		// accumulators never saw them.
+		// degraded (monotone programs only); their state is already set
+		// but the re-run's accumulators never saw them.
 		claimed := seeded
-		for w := range r.acc {
-			ls.ExaminedDRAM += r.acc[w].examinedDRAM
-			ls.ExaminedNVM += r.acc[w].examinedNVM
-			claimed += r.acc[w].claimed
+		for w := range e.acc {
+			ls.ExaminedDRAM += e.acc[w].examinedDRAM
+			ls.ExaminedNVM += e.acc[w].examinedNVM
+			claimed += e.acc[w].claimed
 		}
 		ls.Claimed = claimed
 		res.Levels = append(res.Levels, ls)
@@ -524,20 +566,29 @@ func (r *Runner) Run(root int64) (*Result, error) {
 		}
 		res.ExaminedNVM += ls.ExaminedNVM
 
+		e.prog.EndLevel(level)
 		if claimed == 0 {
 			break
 		}
-		if err := r.promoteNext(dir); err != nil {
+		if e.prog.Converged() {
+			res.Converged = true
+			break
+		}
+		if err := e.promoteNext(dir); err != nil {
 			return nil, err
 		}
 		prevCount, curCount = curCount, claimed
 	}
-	res.Time = vtime.MaxOf(r.clocks) - start
-	res.Tree = r.tree
-	res.Layers = r.layerTotals().Sub(layers0)
-	// The legacy summary fields are views over the generic layer deltas.
-	res.Resilience.fromLayers(res.Layers)
-	res.Resilience.Devices = r.deviceHealth()
-	res.Cache = res.Layers.CacheView()
+	e.finish(res, start, layers0)
 	return res, nil
+}
+
+// finish fills the result's run-wide time and storage-layer views.
+func (e *Engine) finish(res *Result, start vtime.Duration, layers0 nvm.StackStats) {
+	res.Time = vtime.MaxOf(e.clocks) - start
+	res.Layers = e.layerTotals().Sub(layers0)
+	// The summary fields are views over the generic layer deltas.
+	res.Resilience.fromLayers(res.Layers)
+	res.Resilience.Devices = e.deviceHealth()
+	res.Cache = res.Layers.CacheView()
 }

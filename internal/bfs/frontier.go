@@ -15,71 +15,84 @@ import (
 //
 // Invariant maintained across levels: whenever the current direction is
 // top-down, the per-node frontier bitmap replicas are all-clear.
-func (r *Runner) promoteNext(dir Direction) error {
+func (e *Engine) promoteNext(dir Direction) error {
 	if dir == TopDown {
-		return r.gatherQueues()
+		return e.gatherQueues()
 	}
-	return r.replicateNextBitmap()
+	return e.replicateNextBitmap()
 }
 
 // convertFrontier rewrites the current frontier from the representation of
 // direction from into the representation of direction to.
-func (r *Runner) convertFrontier(from, to Direction) error {
+func (e *Engine) convertFrontier(from, to Direction) error {
 	switch {
 	case from == TopDown && to == BottomUp:
-		return r.queueToReplicas()
+		return e.queueToReplicas()
 	case from == BottomUp && to == TopDown:
-		return r.replicasToQueue()
+		return e.replicasToQueue()
 	default:
 		return fmt.Errorf("bfs: bad frontier conversion %v -> %v", from, to)
 	}
 }
 
 // gatherQueues concatenates the per-worker next queues into the frontier
-// queue, marks the gathered vertices visited, and sorts the frontier
-// ascending. Each worker copies its own output at a precomputed offset, so
-// the copy itself parallelizes; the bytes moved are charged as streams.
+// queue, finalizes the gathered claims (Program.Activate), and sorts the
+// frontier ascending. Each worker copies its own output at a precomputed
+// offset, so the copy itself parallelizes; the bytes moved are charged as
+// streams.
 //
-// This is the level boundary where claims become visited: the top-down
-// kernel freezes the visited bitmap while a level runs so the parent
-// choice is a deterministic min over the frontier (see runTopDownLevel).
-// Sorting keeps the semi-external forward reads in adjacency-offset order
-// — sequential, coalescible NVM runs for the prefetcher — and makes the
-// frontier layout independent of which worker won each claim.
-func (r *Runner) gatherQueues() error {
+// This is the level boundary where push claims become final — for BFS,
+// where they become visited: the top-down kernel freezes the visited
+// bitmap while a level runs so the parent choice is a deterministic min
+// over the frontier (see runTopDownLevel). A monotone program's claim bits
+// stay set (one bitmap probe per claim, the activation); a non-monotone
+// program's are cleared so the vertex can re-activate later (a second
+// probe). Sorting keeps the semi-external forward reads in
+// adjacency-offset order — sequential, coalescible NVM runs for the
+// prefetcher — and makes the frontier layout independent of which worker
+// won each claim.
+func (e *Engine) gatherQueues() error {
 	total := 0
-	offs := r.offsScratch
-	for w := 0; w < r.nWorkers; w++ {
+	offs := e.offsScratch
+	for w := 0; w < e.nWorkers; w++ {
 		offs[w] = total
-		total += len(r.nextQ[w])
+		total += len(e.nextQ[w])
 	}
-	offs[r.nWorkers] = total
-	if cap(r.frontQ) < total {
-		r.frontQ = make([]int64, total)
+	offs[e.nWorkers] = total
+	if cap(e.frontQ) < total {
+		e.frontQ = make([]int64, total)
 	}
-	r.frontQ = r.frontQ[:total]
-	err := r.parallel(func(w int) error {
-		q := r.nextQ[w]
+	e.frontQ = e.frontQ[:total]
+	probes := vtime.Duration(1)
+	if !e.monotone {
+		probes = 2
+	}
+	err := e.parallel(func(w int) error {
+		q := e.nextQ[w]
 		if len(q) > 0 {
-			copy(r.frontQ[offs[w]:offs[w+1]], q)
+			copy(e.frontQ[offs[w]:offs[w+1]], q)
 			for _, v := range q {
-				r.visited.Set(int(v))
+				e.prog.Activate(v)
+				if !e.monotone {
+					e.claimBM.Clear(int(v))
+				}
 			}
-			// Read + write of the vertex IDs, plus the visited marks.
-			r.clocks[w].Advance(r.cfg.Cost.Stream(len(q)*16) +
-				vtime.Duration(len(q))*r.cfg.Cost.BitmapProbe)
+			// Read + write of the vertex IDs, plus the activation marks
+			// (and claim-bit clears).
+			e.clocks[w].Advance(e.cfg.Cost.Stream(len(q)*16) +
+				vtime.Duration(len(q))*probes*e.cfg.Cost.BitmapProbe)
 		}
-		r.nextQ[w] = q[:0]
+		e.nextQ[w] = q[:0]
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	sort.Slice(r.frontQ, func(i, j int) bool { return r.frontQ[i] < r.frontQ[j] })
+	sort.Slice(e.frontQ, func(i, j int) bool { return e.frontQ[i] < e.frontQ[j] })
 	if total > 0 {
 		// Modeled as one parallel merge pass over the gathered IDs.
-		per := r.cfg.Cost.Stream(total * 16 / r.nWorkers)
-		for _, c := range r.clocks {
+		per := e.cfg.Cost.Stream(total * 16 / e.nWorkers)
+		for _, c := range e.clocks {
 			c.Advance(per)
 		}
 	}
@@ -89,87 +102,87 @@ func (r *Runner) gatherQueues() error {
 // replicateNextBitmap copies the next bitmap into every NUMA node's
 // frontier replica and clears it. This is the per-level frontier broadcast
 // that buys the bottom-up kernel its purely node-local frontier probes.
-func (r *Runner) replicateNextBitmap() error {
-	words := r.nextBM.Words()
+func (e *Engine) replicateNextBitmap() error {
+	words := e.nextBM.Words()
 	nw := len(words)
-	return r.parallel(func(w int) error {
-		lo, hi := stripe(nw, r.nWorkers, w)
+	return e.parallel(func(w int) error {
+		lo, hi := stripe(nw, e.nWorkers, w)
 		if lo >= hi {
 			return nil
 		}
 		var t vtime.Duration
-		for _, bm := range r.frontBM {
+		for _, bm := range e.frontBM {
 			dst := bm.Words()
 			copy(dst[lo:hi], words[lo:hi])
-			t += r.cfg.Cost.Stream((hi - lo) * 8 * 2)
+			t += e.cfg.Cost.Stream((hi - lo) * 8 * 2)
 		}
 		for i := lo; i < hi; i++ {
 			words[i] = 0
 		}
-		t += r.cfg.Cost.Stream((hi - lo) * 8)
-		r.clocks[w].Advance(t)
+		t += e.cfg.Cost.Stream((hi - lo) * 8)
+		e.clocks[w].Advance(t)
 		return nil
 	})
 }
 
 // queueToReplicas sets the frontier queue's vertices in every node's
 // frontier bitmap replica (top-down -> bottom-up switch).
-func (r *Runner) queueToReplicas() error {
-	return r.parallel(func(w int) error {
-		lo, hi := stripe(len(r.frontQ), r.nWorkers, w)
+func (e *Engine) queueToReplicas() error {
+	return e.parallel(func(w int) error {
+		lo, hi := stripe(len(e.frontQ), e.nWorkers, w)
 		if lo >= hi {
 			return nil
 		}
 		var t vtime.Duration
-		t += r.cfg.Cost.Stream((hi - lo) * 8)
-		probes := vtime.Duration(len(r.frontBM)) * r.cfg.Cost.BitmapProbe
-		for _, v := range r.frontQ[lo:hi] {
-			for _, bm := range r.frontBM {
+		t += e.cfg.Cost.Stream((hi - lo) * 8)
+		probes := vtime.Duration(len(e.frontBM)) * e.cfg.Cost.BitmapProbe
+		for _, v := range e.frontQ[lo:hi] {
+			for _, bm := range e.frontBM {
 				bm.Set(int(v))
 			}
 			t += probes
 		}
-		r.clocks[w].Advance(t)
+		e.clocks[w].Advance(t)
 		return nil
 	})
 }
 
 // replicasToQueue extracts the frontier from the bitmap replicas into the
 // frontier queue and clears all replicas (bottom-up -> top-down switch).
-func (r *Runner) replicasToQueue() error {
-	src := r.frontBM[0]
+func (e *Engine) replicasToQueue() error {
+	src := e.frontBM[0]
 	nw := src.NumWords()
-	err := r.parallel(func(w int) error {
-		lo, hi := stripe(nw, r.nWorkers, w)
-		q := r.nextQ[w][:0]
+	err := e.parallel(func(w int) error {
+		lo, hi := stripe(nw, e.nWorkers, w)
+		q := e.nextQ[w][:0]
 		var t vtime.Duration
 		for i := lo; i < hi; i++ {
-			t += r.cfg.Cost.Stream(8)
+			t += e.cfg.Cost.Stream(8)
 			word := src.WordAt(i)
 			base := i * 64
 			for word != 0 {
 				b := bits.TrailingZeros64(word)
 				word &= word - 1
 				q = append(q, int64(base+b))
-				t += r.cfg.Cost.QueueAppend
+				t += e.cfg.Cost.QueueAppend
 			}
 		}
-		r.nextQ[w] = q
+		e.nextQ[w] = q
 		// Clear this stripe in every replica.
-		for _, bm := range r.frontBM {
+		for _, bm := range e.frontBM {
 			dst := bm.Words()
 			for i := lo; i < hi; i++ {
 				dst[i] = 0
 			}
 		}
-		t += r.cfg.Cost.Stream((hi - lo) * 8 * len(r.frontBM))
-		r.clocks[w].Advance(t)
+		t += e.cfg.Cost.Stream((hi - lo) * 8 * len(e.frontBM))
+		e.clocks[w].Advance(t)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	return r.gatherQueues()
+	return e.gatherQueues()
 }
 
 // stripe splits n items into nWorkers nearly-equal contiguous ranges and

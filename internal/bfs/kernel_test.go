@@ -363,7 +363,7 @@ func TestDecideRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := r.n // 256; n/alpha = 64, n/beta = 32
+	n := r.eng.n // 256; n/alpha = 64, n/beta = 32
 	_ = n
 	cases := []struct {
 		dir       Direction
@@ -379,7 +379,7 @@ func TestDecideRule(t *testing.T) {
 		{BottomUp, 100, 40, BottomUp, "above n/beta: stay"},
 	}
 	for _, c := range cases {
-		if got := r.decide(c.dir, c.prev, c.cur); got != c.want {
+		if got := r.eng.decide(c.dir, 1, c.prev, c.cur); got != c.want {
 			t.Errorf("%s: decide(%v, %d, %d) = %v, want %v",
 				c.desc, c.dir, c.prev, c.cur, got, c.want)
 		}

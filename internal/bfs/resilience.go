@@ -62,7 +62,7 @@ func (r *Resilience) DeadDevices() int {
 }
 
 // stacksOf returns every NVM storage stack behind a forward/backward graph
-// pair, or nil when both are fully DRAM-resident. Shared by Runner and
+// pair, or nil when both are fully DRAM-resident. Shared by Engine and
 // BatchRunner.
 func stacksOf(fwd ForwardAccess, bwd BackwardAccess) []nvm.Storage {
 	var out []nvm.Storage
@@ -85,15 +85,6 @@ func backwardNVMOf(bwd BackwardAccess) bool {
 	return true
 }
 
-// ResilienceFromLayers builds the summary counters as views over generic
-// per-layer deltas. It is shared with the vertex-program engine (internal/vp)
-// so every engine reports fault handling identically.
-func ResilienceFromLayers(layers nvm.StackStats) Resilience {
-	var r Resilience
-	r.fromLayers(layers)
-	return r
-}
-
 // fromLayers fills the legacy Resilience summary counters as views over the
 // generic per-layer deltas.
 func (r *Resilience) fromLayers(layers nvm.StackStats) {
@@ -106,85 +97,92 @@ func (r *Resilience) fromLayers(layers nvm.StackStats) {
 	r.RepairTime = vtime.Duration(layers.Get("mirror", "repair_ns"))
 }
 
-// stacks returns every NVM storage stack behind the runner's graphs
+// stacks returns every NVM storage stack behind the engine's graphs
 // (forward and backward), or nil when both are fully DRAM-resident.
-func (r *Runner) stacks() []nvm.Storage { return stacksOf(r.fwd, r.bwd) }
+func (e *Engine) stacks() []nvm.Storage { return stacksOf(e.fwd, e.bwd) }
 
 // layerTotals collects the cumulative per-layer counters of every stack.
-func (r *Runner) layerTotals() nvm.StackStats {
-	return nvm.CollectStacks(r.stacks()...)
+func (e *Engine) layerTotals() nvm.StackStats {
+	return nvm.CollectStacks(e.stacks()...)
 }
 
 // deviceHealth merges per-device replica health across every stack's
 // mirror layer, or nil without mirroring.
-func (r *Runner) deviceHealth() []nvm.ReplicaHealth {
-	return nvm.CollectReplicaHealth(r.stacks()...)
+func (e *Engine) deviceHealth() []nvm.ReplicaHealth {
+	return nvm.CollectReplicaHealth(e.stacks()...)
 }
-
-// backwardOnNVM reports whether the backward graph has NVM-resident data.
-func (r *Runner) backwardOnNVM() bool { return backwardNVMOf(r.bwd) }
 
 // degradeTarget decides whether a failed level can be rescued by switching
 // to the other direction: only in hybrid mode (a forced single-direction
-// mode is a contract, not a preference), only once per run, and only when
-// the target direction's graph is fully DRAM-resident — the paper's §V-C
-// placement keeps the backward graph in DRAM precisely so the bottom-up
-// direction survives a forward-device failure.
-func (r *Runner) degradeTarget(from Direction) (Direction, bool) {
-	if r.cfg.Mode != ModeHybrid || r.pinned {
+// mode is a contract, not a preference), only once per run, only when the
+// program implements the target kernel, and only when the target
+// direction's graph is fully DRAM-resident — the paper's §V-C placement
+// keeps the backward graph in DRAM precisely so the bottom-up direction
+// survives a forward-device failure.
+func (e *Engine) degradeTarget(from Direction) (Direction, bool) {
+	if e.cfg.Mode != ModeHybrid || e.pinned {
 		return 0, false
 	}
-	if from == TopDown && !r.backwardOnNVM() {
+	caps := e.prog.Caps()
+	if from == TopDown && caps&CapPull != 0 && !backwardNVMOf(e.bwd) {
 		return BottomUp, true
 	}
-	if from == BottomUp && !r.fwd.OnNVM() {
+	if from == BottomUp && caps&CapPush != 0 && !e.fwd.OnNVM() {
 		return TopDown, true
 	}
 	return 0, false
 }
 
 // enterDegraded rescues a partially-executed level so it can be re-run in
-// direction to. Claims the failed kernel already made are valid (each
-// claimed parent is in the current frontier) and their tree entries are
-// already set — so they are preserved by seeding them into the level's
-// output representation, and the re-run kernel skips them via the visited
-// bitmap and claims the remainder. The current frontier is converted to
-// the representation the new direction expects. Returns the number of
-// seeded (pre-degradation) claims.
-func (r *Runner) enterDegraded(from, to Direction) (int64, error) {
+// direction to. For a monotone program the failed kernel's partial claims
+// are valid (for BFS, each claimed parent is in the current frontier) and
+// their state is final — so they are preserved by seeding them into the
+// level's output representation, and the re-run skips them. A
+// non-monotone program's partial claims are discarded from the frontier
+// accounting (their idempotent state writes stay; the full re-run
+// recomputes every claim exactly once, because a pull level examines all
+// candidates and a push level reaches every vertex adjacent to the
+// frontier). The current frontier is converted to the representation the
+// new direction expects. Returns the number of seeded claims.
+func (e *Engine) enterDegraded(from, to Direction) (int64, error) {
 	var seeded int64
 	if from == TopDown {
 		// Partial claims live in the per-worker next queues; the
 		// bottom-up re-run outputs into the next bitmap. The top-down
-		// kernel defers visited marks to gather time, which this rescue
-		// skips, so mark the seeds visited here or the re-run would
-		// claim them a second time.
-		for w := range r.nextQ {
-			for _, v := range r.nextQ[w] {
-				r.nextBM.Set(int(v))
-				r.visited.Set(int(v))
+		// kernel defers activation to gather time, which this rescue
+		// skips, so activate the seeds here or the re-run would claim
+		// them a second time.
+		for w := range e.nextQ {
+			for _, v := range e.nextQ[w] {
+				if !e.monotone {
+					e.claimBM.Clear(int(v))
+					continue
+				}
+				e.nextBM.Set(int(v))
+				e.prog.Activate(v)
 				seeded++
 			}
-			r.nextQ[w] = r.nextQ[w][:0]
+			e.nextQ[w] = e.nextQ[w][:0]
 		}
-		if err := r.convertFrontier(TopDown, BottomUp); err != nil {
+		if err := e.convertFrontier(TopDown, BottomUp); err != nil {
 			return 0, err
 		}
 		return seeded, nil
 	}
 	// Bottom-up failed: convert the frontier first (replicasToQueue uses
 	// the next queues as scratch), then move the partial claims from the
-	// next bitmap into a worker queue for the top-down promote path.
-	if err := r.convertFrontier(BottomUp, TopDown); err != nil {
+	// next bitmap into a worker queue for the top-down promote path, or
+	// drop them.
+	if err := e.convertFrontier(BottomUp, TopDown); err != nil {
 		return 0, err
 	}
-	words := r.nextBM.Words()
+	words := e.nextBM.Words()
 	for i, word := range words {
 		base := i * 64
-		for word != 0 {
+		for e.monotone && word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &= word - 1
-			r.nextQ[0] = append(r.nextQ[0], int64(base+b))
+			e.nextQ[0] = append(e.nextQ[0], int64(base+b))
 			seeded++
 		}
 		words[i] = 0

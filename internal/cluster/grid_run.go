@@ -35,6 +35,9 @@ func (g *Grid) Run(root int64) (*Result, error) {
 		}
 	}
 	g.resetLevelScratch()
+	// The clocks never rewind, so the run's time is measured from its
+	// start, not from 0, or every search would include the earlier ones.
+	runStart := vtime.MaxOf(g.allClocks())
 
 	g.tree[root] = root
 	g.visited.Set(int(root))
@@ -103,7 +106,7 @@ func (g *Grid) Run(root int64) (*Result, error) {
 		g.promoteNext()
 		prevCount, curCount = curCount, claimed
 	}
-	res.Time = vtime.MaxOf(g.allClocks())
+	res.Time = vtime.MaxOf(g.allClocks()) - runStart
 	res.Tree = g.tree
 	res.Comm = g.comm
 	res.CommBytes = g.comm.Total()

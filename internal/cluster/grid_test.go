@@ -261,3 +261,43 @@ func TestGridOwnerOfCoversAllVertices(t *testing.T) {
 		t.Fatalf("ownership covers %d of %d vertices", total, list.NumVertices)
 	}
 }
+
+// TestRepeatedSearchTime checks that a search's virtual time excludes
+// every earlier search on the same machines: the clocks never rewind, so
+// searching one root twice must report the same time on a 2D grid and on
+// a 1D cluster, with the forward graph in DRAM and on NVM.
+func TestRepeatedSearchTime(t *testing.T) {
+	list := testList(t, 9, 57)
+	src := edgelist.ListSource{List: list}
+	root := firstConnected(list)
+	for _, nvm := range []bool{false, true} {
+		cfg := Config{Machines: 4, Alpha: 32, Beta: 320, ForwardOnNVM: nvm}
+		grid, err := BuildGrid(src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneD, err := Build(src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			run  func(int64) (*Result, error)
+		}{{"grid", grid.Run}, {"1D", oneD.Run}} {
+			first, err := c.run(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := c.run(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.Time != second.Time {
+				t.Errorf("%s (nvm %v): second search took %v, first %v",
+					c.name, nvm, second.Time, first.Time)
+			}
+		}
+		grid.Close()
+		oneD.Close()
+	}
+}

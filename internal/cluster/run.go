@@ -74,6 +74,9 @@ func (c *Cluster) Run(root int64) (*Result, error) {
 	for k := range c.frontQ {
 		c.frontQ[k] = c.frontQ[k][:0]
 	}
+	// The clocks never rewind, so the run's time is measured from its
+	// start, not from 0, or every search would include the earlier ones.
+	runStart := vtime.MaxOf(c.clocks())
 
 	c.tree[root] = root
 	c.visited.Set(int(root))
@@ -134,7 +137,7 @@ func (c *Cluster) Run(root int64) (*Result, error) {
 		}
 		prevCount, curCount = curCount, claimed
 	}
-	res.Time = vtime.MaxOf(c.clocks())
+	res.Time = vtime.MaxOf(c.clocks()) - runStart
 	res.Tree = c.tree
 	res.Comm = c.comm
 	res.CommBytes = c.comm.Total()

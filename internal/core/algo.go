@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"semibfs/internal/bfs"
 	"semibfs/internal/vp"
 )
 
@@ -12,8 +13,8 @@ import (
 type Algorithm int
 
 const (
-	// AlgoBFS is single-source breadth-first search (vp.BFS); its parent
-	// trees are bit-identical to bfs.Runner's.
+	// AlgoBFS is single-source breadth-first search (bfs.BFS, the program
+	// bfs.Runner binds to the engine).
 	AlgoBFS Algorithm = iota
 	// AlgoComponents is connected components by min-label propagation
 	// (vp.Components).
@@ -59,10 +60,10 @@ func Algorithms() []Algorithm {
 // graphs. The PageRank degree array comes from the backward access (both
 // CSR directions share the symmetric degree), so it is consistent with
 // what the engine's scans will stream regardless of storage placement.
-func (s *System) NewProgram(pr vp.PageRankOptions) (vp.Program, error) {
+func (s *System) NewProgram(pr vp.PageRankOptions) (bfs.Program, error) {
 	switch s.Scenario.Algorithm {
 	case AlgoBFS:
-		return vp.NewBFS(), nil
+		return bfs.NewBFS(), nil
 	case AlgoComponents:
 		return vp.NewComponents(), nil
 	case AlgoPageRank:
@@ -76,8 +77,8 @@ func (s *System) NewProgram(pr vp.PageRankOptions) (vp.Program, error) {
 	}
 }
 
-// NewEngine returns a vertex-program engine binding prog to the system's
-// graphs — the generalized counterpart of NewRunner.
-func (s *System) NewEngine(prog vp.Program, cfg vp.Config) (*vp.Engine, error) {
-	return vp.NewEngine(s.Forward, s.Backward, s.Part, prog, cfg)
+// NewEngine returns the hybrid engine binding prog to the system's graphs
+// — the generalized counterpart of NewRunner, which binds bfs.BFS.
+func (s *System) NewEngine(prog bfs.Program, cfg bfs.Config) (*bfs.Engine, error) {
+	return bfs.NewEngine(s.Forward, s.Backward, s.Part, prog, cfg)
 }

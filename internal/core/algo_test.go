@@ -28,11 +28,11 @@ func buildAlgoSystem(t *testing.T, sc Scenario) (*System, *edgelist.List) {
 	return sys, list
 }
 
-func algoConfig(workers int) vp.Config {
-	return vp.Config{Config: bfs.Config{
+func algoConfig(workers int) bfs.Config {
+	return bfs.Config{
 		Topology: numa.Topology{Nodes: 2, CoresPerNode: 2},
 		Alpha:    4, Beta: 40, RealWorkers: workers,
-	}}
+	}
 }
 
 // unionFindMinLabels is the label oracle: each vertex's component minimum

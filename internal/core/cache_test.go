@@ -7,6 +7,7 @@ import (
 	"semibfs/internal/faults"
 	"semibfs/internal/numa"
 	"semibfs/internal/validate"
+	"semibfs/internal/vtime"
 )
 
 // TestCacheTreeIdentity checks the acceptance invariant of the cache
@@ -119,5 +120,47 @@ func TestCacheDeterminism(t *testing.T) {
 	}
 	if a.Cache != b.Cache {
 		t.Fatalf("cache stats differ across identical runs:\n%+v\n%+v", a.Cache, b.Cache)
+	}
+}
+
+// TestAsyncQueueForgetsResetTimeline checks that resetting the devices and
+// the page cache gives a fresh runner a fresh timeline through the async
+// pipeline: the queue slots must not keep the previous runner's completion
+// times, or the second runner — whose clocks restart at 0 — would queue
+// behind the whole first run.
+func TestAsyncQueueForgetsResetTimeline(t *testing.T) {
+	src := testSource(t, 10)
+	topo := numa.Topology{Nodes: 2, CoresPerNode: 2}
+	cfg := bfs.Config{Topology: topo, Mode: bfs.ModeTopDownOnly, RealWorkers: 1}
+	sc := ScenarioSSD.WithCache(64<<10, 0).WithIO(true, 4, 64)
+	sys, err := Build(src, topo, sc, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	run := func() []vtime.Duration {
+		for _, d := range sys.Devices {
+			d.Reset()
+		}
+		sys.PageCache().Reset()
+		r, err := sys.NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var times []vtime.Duration
+		for _, root := range []int64{1, 2, 3} {
+			res, err := r.Run(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			times = append(times, res.Time)
+		}
+		return times
+	}
+	first, second := run(), run()
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("root %d after reset: virtual time %v, first runner %v", i+1, second[i], first[i])
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"semibfs/internal/faults"
 	"semibfs/internal/generator"
 	"semibfs/internal/numa"
-	"semibfs/internal/vp"
 )
 
 // treesFor builds a system under sc and returns the parent tree of each
@@ -17,9 +16,9 @@ import (
 // kernel resolves claim races with an atomic minimum, so the trees must
 // not depend on the worker count.
 //
-// Every permutation also runs the vp BFS program over the same system and
-// requires its parent tree to be bit-identical to bfs.Runner's — the
-// vertex-program framework's correctness anchor.
+// Every permutation also runs the BFS program directly through the
+// system's engine and requires its parent tree to be bit-identical to
+// bfs.Runner's.
 func treesFor(t *testing.T, sc Scenario, roots []int64, workers int) [][]int64 {
 	t.Helper()
 	list, err := generator.Generate(generator.Config{Scale: 10, EdgeFactor: 8, Seed: 7})
@@ -37,8 +36,8 @@ func treesFor(t *testing.T, sc Scenario, roots []int64, workers int) [][]int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := vp.NewBFS()
-	eng, err := sys.NewEngine(prog, vp.Config{Config: cfg})
+	prog := bfs.NewBFS()
+	eng, err := sys.NewEngine(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +49,11 @@ func treesFor(t *testing.T, sc Scenario, roots []int64, workers int) [][]int64 {
 		}
 		tree := res.CloneTree()
 		if _, err := eng.Run(root); err != nil {
-			t.Fatalf("scenario %s root %d: vp engine: %v", sc.Name, root, err)
+			t.Fatalf("scenario %s root %d: engine: %v", sc.Name, root, err)
 		}
 		for v, p := range prog.Tree() {
 			if p != tree[v] {
-				t.Fatalf("scenario %s root %d workers %d: vp tree[%d] = %d, runner has %d",
+				t.Fatalf("scenario %s root %d workers %d: engine tree[%d] = %d, runner has %d",
 					sc.Name, root, workers, v, p, tree[v])
 			}
 		}

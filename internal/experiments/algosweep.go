@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"semibfs/internal/bfs"
 	"semibfs/internal/core"
 	"semibfs/internal/graph500"
 	"semibfs/internal/stats"
@@ -64,7 +65,6 @@ func AlgoSweep(opts Options) ([]AlgoRow, error) {
 	cfg.Alpha = CacheSweepAlpha
 	cfg.Beta = 10 * CacheSweepAlpha
 	cfg.RealWorkers = opts.Workers
-	vcfg := vp.Config{Config: cfg}
 	prOpts := vp.PageRankOptions{}
 
 	degree := func(sys *core.System) func(int64) int64 {
@@ -84,8 +84,8 @@ func AlgoSweep(opts Options) ([]AlgoRow, error) {
 	var refLabels []int64
 	var refRanks []float64
 	{
-		bfsProg := vp.NewBFS()
-		eng, err := dramSys.NewEngine(bfsProg, vcfg)
+		bfsProg := bfs.NewBFS()
+		eng, err := dramSys.NewEngine(bfsProg, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +96,7 @@ func AlgoSweep(opts Options) ([]AlgoRow, error) {
 			refTrees[root] = append([]int64(nil), bfsProg.Tree()...)
 		}
 		ccProg := vp.NewComponents()
-		if eng, err = dramSys.NewEngine(ccProg, vcfg); err != nil {
+		if eng, err = dramSys.NewEngine(ccProg, cfg); err != nil {
 			return nil, err
 		}
 		if _, err := eng.Run(0); err != nil {
@@ -104,7 +104,7 @@ func AlgoSweep(opts Options) ([]AlgoRow, error) {
 		}
 		refLabels = append([]int64(nil), ccProg.Labels()...)
 		pr := vp.NewPageRank(degreesOf(dramSys), prOpts)
-		if eng, err = dramSys.NewEngine(pr, vcfg); err != nil {
+		if eng, err = dramSys.NewEngine(pr, cfg); err != nil {
 			return nil, err
 		}
 		if _, err := eng.Run(0); err != nil {
@@ -132,7 +132,7 @@ func AlgoSweep(opts Options) ([]AlgoRow, error) {
 				if frac > 0 {
 					cached = cached.WithCache(int64(frac*float64(fwdBytes)), CacheReadahead)
 				}
-				row, err := runAlgoPoint(lab, cached, vcfg, prOpts, frac, roots, refTrees, refLabels, refRanks)
+				row, err := runAlgoPoint(lab, cached, cfg, prOpts, frac, roots, refTrees, refLabels, refRanks)
 				if err != nil {
 					return nil, fmt.Errorf("algo sweep %s %s frac=%g: %w", base.Name, algo, frac, err)
 				}
@@ -154,7 +154,7 @@ func degreesOf(sys *core.System) []int64 {
 
 // runAlgoPoint runs one (scenario, algorithm, budget) point and validates
 // it against the DRAM reference.
-func runAlgoPoint(lab *Lab, sc core.Scenario, vcfg vp.Config, prOpts vp.PageRankOptions,
+func runAlgoPoint(lab *Lab, sc core.Scenario, cfg bfs.Config, prOpts vp.PageRankOptions,
 	frac float64, roots []int64, refTrees map[int64][]int64,
 	refLabels []int64, refRanks []float64) (AlgoRow, error) {
 	sys, err := lab.System(sc, false)
@@ -165,7 +165,7 @@ func runAlgoPoint(lab *Lab, sc core.Scenario, vcfg vp.Config, prOpts vp.PageRank
 	if err != nil {
 		return AlgoRow{}, err
 	}
-	eng, err := sys.NewEngine(prog, vcfg)
+	eng, err := sys.NewEngine(prog, cfg)
 	if err != nil {
 		return AlgoRow{}, err
 	}
@@ -187,7 +187,7 @@ func runAlgoPoint(lab *Lab, sc core.Scenario, vcfg vp.Config, prOpts vp.PageRank
 			if err != nil {
 				return row, err
 			}
-			tree := prog.(*vp.BFS).Tree()
+			tree := prog.(*bfs.BFS).Tree()
 			ref := refTrees[root]
 			for v := range ref {
 				if tree[v] != ref[v] {
@@ -205,12 +205,12 @@ func runAlgoPoint(lab *Lab, sc core.Scenario, vcfg vp.Config, prOpts vp.PageRank
 			if res.Time > 0 {
 				teps = append(teps, float64(traversed)/res.Time.Seconds())
 			}
-			examined += res.ExaminedPush + res.ExaminedPull
+			examined += res.ExaminedTD + res.ExaminedBU
 			nvmReads += res.Layers.Get("mirror", "reads")
 			hits += res.Cache.Hits
 			misses += res.Cache.Misses
 			seconds += res.Time.Seconds()
-			iters = res.Iterations
+			iters = len(res.Levels)
 		}
 		row.TEPS = stats.Summarize(teps).HarmonicMean
 		row.Iterations = iters
@@ -249,11 +249,11 @@ func runAlgoPoint(lab *Lab, sc core.Scenario, vcfg vp.Config, prOpts vp.PageRank
 		}
 		row.Converged = res.Converged
 	}
-	row.Iterations = res.Iterations
+	row.Iterations = len(res.Levels)
 	row.Seconds = res.Time.Seconds()
 	if row.Seconds > 0 {
-		row.EdgesPerSec = float64(res.ExaminedPush+res.ExaminedPull) / row.Seconds
-		row.IterationsPerSec = float64(res.Iterations) / row.Seconds
+		row.EdgesPerSec = float64(res.ExaminedTD+res.ExaminedBU) / row.Seconds
+		row.IterationsPerSec = float64(row.Iterations) / row.Seconds
 	}
 	row.NVMReads = res.Layers.Get("mirror", "reads")
 	if t := res.Cache.Hits + res.Cache.Misses; t > 0 {

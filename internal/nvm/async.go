@@ -46,6 +46,10 @@ type AsyncStore struct {
 
 	mu    sync.Mutex
 	slots []vtime.Duration
+	// resets is the cache's Reset count the slots belong to: a cache reset
+	// starts a new virtual timeline, so the slots' completion times from
+	// the old one are cleared at the next acquire.
+	resets uint32
 
 	cancelled atomic.Bool
 
@@ -78,6 +82,12 @@ func WrapAsync(inner Storage, name string, depth int) Storage {
 func (a *AsyncStore) acquire(now vtime.Duration) (int, vtime.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.cached != nil {
+		if r := a.cached.Cache().resets.Load(); r != a.resets {
+			clear(a.slots)
+			a.resets = r
+		}
+	}
 	best := 0
 	for i, t := range a.slots {
 		if t < a.slots[best] {

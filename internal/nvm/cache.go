@@ -50,6 +50,14 @@ type PageCache struct {
 	capacity int64
 	// nextID hands out CachedStore identities.
 	nextID atomic.Uint32
+	// resets counts Reset calls; an AsyncStore above the cache clears its
+	// queue slots when it sees the count change, so a fresh timeline does
+	// not queue behind the previous one's completion times. It fills the
+	// padding after nextID, keeping the struct at 192 bytes: the next
+	// size class (208) is not a multiple of 64, so the hot counters below
+	// would share cache lines with the read-mostly fields above and every
+	// lookup would pay for false sharing.
+	resets atomic.Uint32
 
 	hits, misses, evictions atomic.Int64
 	hitBytes, fillBytes     atomic.Int64
@@ -177,7 +185,9 @@ func (c *PageCache) Wrap(inner Storage) *CachedStore {
 }
 
 // Reset drops every cached page and zeroes the statistics (the benchmark
-// driver calls it so each run starts cold, like the device counters).
+// driver calls it so each run starts cold, like the device counters). It
+// also starts a new virtual timeline for any async pipeline above the
+// cache, whose queue slots forget their completion times.
 func (c *PageCache) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -195,6 +205,7 @@ func (c *PageCache) Reset() {
 	c.prefetches.Store(0)
 	c.prefetchHits.Store(0)
 	c.mergedFills.Store(0)
+	c.resets.Add(1)
 }
 
 // CacheStats is a snapshot of a cache's accumulated counters.

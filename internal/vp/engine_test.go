@@ -41,15 +41,15 @@ func buildDRAM(t *testing.T, scale int, seed uint64) (bfs.ForwardAccess, bfs.Bac
 	return bfs.DRAMForward{G: fg}, bfs.HybridBackwardAccess{HB: hb}, list, part
 }
 
-func vpConfig(workers int, mode bfs.Mode) vp.Config {
-	return vp.Config{Config: bfs.Config{
+func vpConfig(workers int, mode bfs.Mode) bfs.Config {
+	return bfs.Config{
 		Topology: testTopo, Alpha: 4, Beta: 40, Mode: mode, RealWorkers: workers,
-	}}
+	}
 }
 
-// TestBFSMatchesRunner is the refactor's correctness anchor at the DRAM
-// level: the vp BFS program must produce bit-identical parent trees to
-// bfs.Runner for every mode and worker count.
+// TestBFSMatchesRunner checks at the DRAM level that the BFS program run
+// directly through an engine, with any worker count, produces parent trees
+// bit-identical to bfs.Runner's for every mode.
 func TestBFSMatchesRunner(t *testing.T) {
 	fwd, bwd, list, part := buildDRAM(t, 10, 7)
 	roots := []int64{0, 3, 101, 777}
@@ -61,8 +61,8 @@ func TestBFSMatchesRunner(t *testing.T) {
 			t.Fatalf("runner: %v", err)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			prog := vp.NewBFS()
-			eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(workers, mode))
+			prog := bfs.NewBFS()
+			eng, err := bfs.NewEngine(fwd, bwd, part, prog, vpConfig(workers, mode))
 			if err != nil {
 				t.Fatalf("engine: %v", err)
 			}
@@ -82,9 +82,9 @@ func TestBFSMatchesRunner(t *testing.T) {
 							mode, workers, root, v, p, wantTree[v])
 					}
 				}
-				if got.Claimed+1 != want.Visited {
-					t.Errorf("mode %v root %d: claimed %d+root, runner visited %d",
-						mode, root, got.Claimed, want.Visited)
+				if got.Visited != want.Visited {
+					t.Errorf("mode %v root %d: visited %d, runner visited %d",
+						mode, root, got.Visited, want.Visited)
 				}
 				if len(got.Levels) != len(want.Levels) {
 					t.Errorf("mode %v root %d: %d levels, runner has %d",
@@ -152,7 +152,7 @@ func TestComponentsMatchesUnionFind(t *testing.T) {
 	var refLevels []bfs.LevelStats
 	for _, workers := range []int{1, 2, 8} {
 		prog := vp.NewComponents()
-		eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(workers, bfs.ModeHybrid))
+		eng, err := bfs.NewEngine(fwd, bwd, part, prog, vpConfig(workers, bfs.ModeHybrid))
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}
@@ -261,7 +261,7 @@ func TestPageRankMatchesReference(t *testing.T) {
 	var ranks1 []float64
 	for _, workers := range []int{1, 8} {
 		prog := vp.NewPageRank(deg, opts)
-		eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(workers, bfs.ModeHybrid))
+		eng, err := bfs.NewEngine(fwd, bwd, part, prog, vpConfig(workers, bfs.ModeHybrid))
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}
@@ -300,7 +300,7 @@ func TestPageRankMatchesReference(t *testing.T) {
 	}
 	// Every sweep must be a pull sweep: the program is pull-only.
 	prog := vp.NewPageRank(deg, opts)
-	eng, err := vp.NewEngine(fwd, bwd, part, prog, vpConfig(2, bfs.ModeHybrid))
+	eng, err := bfs.NewEngine(fwd, bwd, part, prog, vpConfig(2, bfs.ModeHybrid))
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -322,11 +322,11 @@ func TestEngineRejectsImpossibleModes(t *testing.T) {
 	for v := range deg {
 		deg[v] = bwd.Degree(int64(v))
 	}
-	if _, err := vp.NewEngine(fwd, bwd, part, vp.NewPageRank(deg, vp.PageRankOptions{}),
+	if _, err := bfs.NewEngine(fwd, bwd, part, vp.NewPageRank(deg, vp.PageRankOptions{}),
 		vpConfig(1, bfs.ModeTopDownOnly)); err == nil {
 		t.Fatal("pull-only program accepted top-down-only mode")
 	}
-	if _, err := vp.NewEngine(fwd, bwd, part, vp.NewBFS(), vpConfig(1, bfs.ModeHybrid)); err != nil {
+	if _, err := bfs.NewEngine(fwd, bwd, part, bfs.NewBFS(), vpConfig(1, bfs.ModeHybrid)); err != nil {
 		t.Fatalf("bfs engine: %v", err)
 	}
 }

@@ -3,6 +3,9 @@ package vp
 import (
 	"fmt"
 	"math"
+
+	"semibfs/internal/bfs"
+	"semibfs/internal/bitmap"
 )
 
 // PageRankOptions parameterize the PageRank program.
@@ -74,7 +77,7 @@ type prAcc struct {
 
 // NewPageRank returns a PageRank program over a graph whose per-vertex
 // degrees are deg (the symmetric degree both CSR directions share);
-// NewEngine sizes the rest.
+// bfs.NewEngine sizes the rest.
 func NewPageRank(deg []int64, opts PageRankOptions) *PageRank {
 	return &PageRank{opts: opts.WithDefaults(), deg: deg}
 }
@@ -92,16 +95,16 @@ func (p *PageRank) Iterations() int { return p.iters }
 // Delta returns the last sweep's L1 rank change.
 func (p *PageRank) Delta() float64 { return p.delta }
 
-// Name implements Program.
+// Name implements bfs.Program.
 func (p *PageRank) Name() string { return "pagerank" }
 
-// Caps implements Program: gather only.
-func (p *PageRank) Caps() Caps { return CapPull }
+// Caps implements bfs.Program: gather only.
+func (p *PageRank) Caps() bfs.Caps { return bfs.CapPull }
 
-// Monotone implements Program.
+// Monotone implements bfs.Program.
 func (p *PageRank) Monotone() bool { return false }
 
-// Setup implements Program.
+// Setup implements bfs.Program.
 func (p *PageRank) Setup(n int64, workers int) {
 	if int64(len(p.deg)) != n {
 		panic(fmt.Sprintf("vp: pagerank degree array has %d entries for %d vertices", len(p.deg), n))
@@ -121,7 +124,7 @@ func (p *PageRank) Setup(n int64, workers int) {
 	p.scratch = make([]prAcc, workers)
 }
 
-// Reset implements Program: uniform initial ranks.
+// Reset implements bfs.Program: uniform initial ranks.
 func (p *PageRank) Reset(root int64) error {
 	u := 1 / float64(p.n)
 	for i := range p.rank {
@@ -137,33 +140,35 @@ func (p *PageRank) Reset(root int64) error {
 	return nil
 }
 
-// InitialFrontier implements Program: every sweep is dense.
+// InitialFrontier implements bfs.Program: every sweep is dense.
 func (p *PageRank) InitialFrontier(root int64, emit func(v int64)) {
 	for v := int64(0); v < p.n; v++ {
 		emit(v)
 	}
 }
 
-// Hint implements Program: always gather.
-func (p *PageRank) Hint(level int, frontier int64) Hint { return HintPull }
+// Hint implements bfs.Program: always gather.
+func (p *PageRank) Hint(level int, frontier int64) bfs.Hint { return bfs.HintPull }
 
-// PushEdge implements Program; never called (no CapPush).
-func (p *PageRank) PushEdge(w int, src, dst int64) bool { return false }
+// PushEdges implements bfs.Program; never called (no CapPush).
+func (p *PageRank) PushEdges(w int, src int64, dsts []int64, claims *bfs.Claims) {}
 
-// PullCandidate implements Program: every vertex recomputes every sweep.
-func (p *PageRank) PullCandidate(v int64) bool { return true }
+// PullCandidates implements bfs.Program: every vertex recomputes every sweep.
+func (p *PageRank) PullCandidates(word int) uint64 { return ^uint64(0) }
 
-// BeginPull implements Program.
-func (p *PageRank) BeginPull(w int, v int64) { p.scratch[w].sum = 0 }
-
-// PullEdge implements Program: accumulate nb's rank share in the engine's
-// fixed scan order (no early exit).
-func (p *PageRank) PullEdge(w int, v, nb int64, inFrontier bool) bool {
-	p.scratch[w].sum += p.rank[nb] * p.inv[nb]
-	return true
+// PullProbe implements bfs.Program: accumulate each neighbor's rank share
+// in the engine's fixed scan order (no early exit); every vertex is
+// finalized, neighbors or not.
+func (p *PageRank) PullProbe(w int, frontier *bitmap.Atomic) (func(nb int64) bool, *bool) {
+	s := &p.scratch[w]
+	s.sum = 0
+	return func(nb int64) bool {
+		s.sum += p.rank[nb] * p.inv[nb]
+		return true
+	}, nil
 }
 
-// EndPull implements Program: finalize v's new rank and fold its change
+// EndPull implements bfs.Program: finalize v's new rank and fold its change
 // into the worker's L1 partial. Every vertex counts as claimed — the
 // frontier stays dense and termination is Converged's job.
 func (p *PageRank) EndPull(w int, v int64) bool {
@@ -175,13 +180,14 @@ func (p *PageRank) EndPull(w int, v int64) bool {
 		d = -d
 	}
 	p.scratch[w].delta += d
+	p.scratch[w].sum = 0
 	return true
 }
 
-// Activate implements Program; push claims cannot occur.
+// Activate implements bfs.Program; push claims cannot occur.
 func (p *PageRank) Activate(v int64) {}
 
-// EndLevel implements Program: swap the rank buffers and reduce the L1
+// EndLevel implements bfs.Program: swap the rank buffers and reduce the L1
 // partials in worker order (deterministic floating-point sum).
 func (p *PageRank) EndLevel(level int) {
 	p.rank, p.next = p.next, p.rank
@@ -197,7 +203,7 @@ func (p *PageRank) EndLevel(level int) {
 	p.iters++
 }
 
-// Converged implements Program.
+// Converged implements bfs.Program.
 func (p *PageRank) Converged() bool {
 	return p.iters >= 1 && (p.delta <= p.opts.Tol || p.iters >= p.opts.MaxIters)
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"semibfs/internal/bfs"
 )
 
 // Program-state serialization: a compact snapshot format for per-vertex
@@ -112,28 +114,18 @@ func stateHeader(data []byte, tag byte, minBytes uint64) ([]byte, uint64, error)
 	return payload, count, nil
 }
 
-// StateSnapshotter is implemented by programs whose per-vertex result can
-// be packed with the state codec.
-type StateSnapshotter interface {
-	// PackState appends the program's result state to dst.
-	PackState(dst []byte) []byte
-}
-
-// PackState implements StateSnapshotter: the parent tree.
-func (b *BFS) PackState(dst []byte) []byte { return PackInt64s(dst, b.tree) }
-
-// PackState implements StateSnapshotter: the label array.
-func (c *Components) PackState(dst []byte) []byte { return PackInt64s(dst, c.cur) }
-
-// PackState implements StateSnapshotter: the rank vector.
-func (p *PageRank) PackState(dst []byte) []byte { return PackFloat64s(dst, p.rank) }
-
-// StateBytes returns the packed size of a program's result state, or 0 for
+// StateBytes returns the packed size of a program's result state — the
+// BFS parent tree, the component labels, or the PageRank ranks — or 0 for
 // programs without a snapshot form.
-func StateBytes(p Program) int64 {
-	s, ok := p.(StateSnapshotter)
-	if !ok {
-		return 0
+func StateBytes(p bfs.Program) int64 {
+	var b []byte
+	switch p := p.(type) {
+	case *bfs.BFS:
+		b = PackInt64s(nil, p.Tree())
+	case *Components:
+		b = PackInt64s(nil, p.Labels())
+	case *PageRank:
+		b = PackFloat64s(nil, p.Ranks())
 	}
-	return int64(len(s.PackState(nil)))
+	return int64(len(b))
 }
